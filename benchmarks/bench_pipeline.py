@@ -39,7 +39,7 @@ def test_full_pipeline_parallel(benchmark):
     """
     config = SherlockConfig(rounds=3, seed=0)
     baseline = _canonical(repro.run("App-2", config))
-    with ExecutionRuntime(workers=4) as runtime:
+    with ExecutionRuntime(engine="process:4") as runtime:
         repro.run("App-2", config, engine=runtime)  # warm the pool up
 
         report = benchmark(lambda: repro.run("App-2", config, engine=runtime))

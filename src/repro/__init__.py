@@ -5,7 +5,8 @@ Public API tour:
 
 * :func:`repro.run` — the one-call entry point: resolve an app, run the
   multi-round pipeline (optionally across worker processes and against a
-  trace cache), return a :class:`~repro.core.SherlockReport`.
+  trace cache), return a :class:`~repro.core.SherlockReport`;
+  :func:`repro.arun` is its ``await``-able twin.
 * :mod:`repro.runtime` — the execution runtime: process-pool fan-out,
   content-addressed trace caching, per-phase :class:`RunMetrics`.
 * :mod:`repro.sim` — the deterministic concurrent-program simulator and
@@ -33,47 +34,31 @@ Quickstart::
         print(sync.display())
     print(report.metrics.describe())   # phase timings, cache hits
 
-or, from async code (``engine="async"`` fan-out by default)::
+or, from async code (the same run in a worker thread, so the event loop
+stays free)::
 
     report = await repro.arun("App-2", cache=True)
 
-``engine`` picks how unit-test jobs execute ("serial", "process[:N]"
-pool fan-out, "async[:N]" asyncio tasks with bounded concurrency);
+``engine`` picks how unit-test jobs execute: ``"serial"`` (the default)
+or ``"process[:N]"`` (a pool of N worker processes), or pass a
+caller-owned :class:`ExecutionRuntime` to share one pool across calls;
 ``cache`` memoizes observed rounds under ``.repro_cache/`` (or
-``"memory"`` for an LRU-only store).  Neither changes results: all
-engines and warm-cache runs serialize byte-identically.
+``"memory"`` for an LRU-only store).  Neither changes results: process
+and warm-cache runs serialize byte-identically to serial ones.
 """
 
 from . import fuzz
 from .api import arun, convert_predictions, predict_races, run
 from .apps import all_applications, app_ids, get_application
-from .core import (
-    InferenceResult,
-    Sherlock,
-    SherlockConfig,
-    SherlockReport,
-    run_sherlock,
-)
+from .core import InferenceResult, Sherlock, SherlockConfig, SherlockReport
 from .racedet import detect_races, manual_spec, sherlock_spec
-from .runtime import (
-    AsyncEngine,
-    Engine,
-    ExecutionRuntime,
-    ProcessEngine,
-    RunMetrics,
-    SerialEngine,
-    TraceCache,
-)
+from .runtime import ExecutionRuntime, RunMetrics, TraceCache
 from .trace import OpRef, OpType, Role, SyncOp, TraceEvent, TraceLog
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "AsyncEngine",
-    "Engine",
     "ExecutionRuntime",
-    "ProcessEngine",
-    "SerialEngine",
     "InferenceResult",
     "OpRef",
     "OpType",
@@ -96,6 +81,5 @@ __all__ = [
     "manual_spec",
     "predict_races",
     "run",
-    "run_sherlock",
     "sherlock_spec",
 ]

@@ -2,22 +2,18 @@
 
 ``repro.run("App-2", engine="process:4", cache=True)`` resolves the
 application, builds an :class:`~repro.runtime.engine.ExecutionRuntime`
-(pluggable engine + trace cache), runs the full multi-round SherLock
-pipeline, and returns the :class:`~repro.core.pipeline.SherlockReport`.
-``repro.arun`` is the asyncio-native twin (``await repro.arun("App-2")``)
-and defaults to the async engine; both produce byte-identical reports
-for the same inputs regardless of engine.
-
-The legacy ``workers=`` / ``runtime=`` kwargs of :func:`run` are folded
-into the ``engine=`` spec (``workers=4`` ≡ ``engine="process:4"``, a
-pre-built runtime is passed as ``engine=`` directly); they keep working
-for one release and emit :class:`DeprecationWarning`.
+(optional process pool + trace cache), runs the full multi-round
+SherLock pipeline, and returns the
+:class:`~repro.core.pipeline.SherlockReport`.  ``repro.arun`` is the
+``await``-able twin: the same synchronous run in a worker thread, so the
+caller's event loop stays free.  Both produce byte-identical reports for
+the same inputs regardless of engine.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
-import warnings
 from typing import Optional, Union
 
 from .apps.registry import get_application
@@ -26,15 +22,13 @@ from .core.pipeline import Sherlock, SherlockReport
 from .racedet.spec import HappensBeforeSpec
 from .runtime.cache import DEFAULT_CACHE_DIR, TraceCache
 from .runtime.engine import ExecutionRuntime
-from .runtime.engines import Engine
 from .sim.program import Application
 
 CacheSpec = Union[None, bool, str, "os.PathLike[str]", TraceCache]
 
-#: ``engine=`` accepts a spec string ("serial" | "process[:N]" |
-#: "async[:N]"), a live :class:`Engine`, or a caller-owned
-#: :class:`ExecutionRuntime` (used as-is and kept open).
-RunEngineSpec = Union[None, str, Engine, ExecutionRuntime]
+#: ``engine=`` accepts a spec string ("serial" | "process[:N]") or a
+#: caller-owned :class:`ExecutionRuntime` (used as-is and kept open).
+RunEngineSpec = Union[None, str, ExecutionRuntime]
 
 
 def coerce_cache(cache: CacheSpec) -> Optional[TraceCache]:
@@ -64,55 +58,6 @@ def _resolve_app(app_or_id: Union[Application, str]) -> Application:
     )
 
 
-def _shim_legacy_kwargs(
-    engine: RunEngineSpec,
-    workers: Optional[int],
-    runtime: Optional[ExecutionRuntime],
-) -> RunEngineSpec:
-    """Map the deprecated ``workers=`` / ``runtime=`` kwargs onto the
-    ``engine=`` spec (one release of back-compat, warning once per call
-    site)."""
-    if runtime is not None:
-        if engine is not None:
-            raise TypeError(
-                "pass either engine= or the deprecated runtime=, not both"
-            )
-        warnings.warn(
-            "repro.run(runtime=...) is deprecated; pass the runtime as "
-            "engine= instead (repro.run(..., engine=runtime))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        engine = runtime
-    if workers is not None:
-        if engine is not None:
-            raise TypeError(
-                "pass either engine= or the deprecated workers=, not both"
-            )
-        warnings.warn(
-            "repro.run(workers=N) is deprecated; use "
-            "engine='process:N' (or engine='serial') instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        engine = "serial" if workers == 1 else f"process:{workers}"
-    return engine
-
-
-def _config_engine_spec(
-    engine: RunEngineSpec,
-    config: Optional[SherlockConfig],
-    default: str = "auto",
-) -> Union[str, Engine]:
-    """The engine spec to build a runtime from: the explicit ``engine=``
-    argument, else ``config.engine``, else ``default``."""
-    if engine is not None:
-        return engine  # type: ignore[return-value]  (never a runtime here)
-    if config is not None and config.engine != "auto":
-        return config.engine
-    return default
-
-
 def run(
     app_or_id: Union[Application, str],
     config: Optional[SherlockConfig] = None,
@@ -120,14 +65,10 @@ def run(
     rounds: Optional[int] = None,
     engine: RunEngineSpec = None,
     cache: CacheSpec = None,
-    workers: Optional[int] = None,
-    runtime: Optional[ExecutionRuntime] = None,
 ) -> SherlockReport:
     """Run SherLock on an application and return its report.
 
-    Fully synchronous for callers — no event loop required (and a
-    running one is tolerated: the pipeline then runs on a private loop
-    in a helper thread).  Results are byte-identical across engines.
+    Results are byte-identical across engines.
 
     Parameters
     ----------
@@ -140,28 +81,21 @@ def run(
         Overrides ``config.rounds`` (the report's config reflects what
         actually ran).
     engine:
-        How to execute unit-test jobs: ``"serial"`` (default),
-        ``"process[:N]"`` (process pool), ``"async[:N]"`` (asyncio
-        fan-out with bounded concurrency), a live
-        :class:`~repro.runtime.engines.Engine`, or a pre-built
+        How to execute unit-test jobs: ``"serial"`` (default) or
+        ``"process[:N]"`` (process pool), or a pre-built
         :class:`ExecutionRuntime` (used as-is and kept open; its cache
-        wins over ``cache=``).  ``None`` falls back to
-        ``config.engine``.
+        wins over ``cache=``).  ``None`` falls back to ``config.engine``.
     cache:
         ``True`` / ``"memory"`` / a directory path / a
         :class:`TraceCache` to memoize observed rounds; ``None``
         disables caching.
-    workers:
-        Deprecated — ``workers=N`` is ``engine="process:N"``.
-    runtime:
-        Deprecated — pass the runtime as ``engine=`` instead.
     """
-    engine = _shim_legacy_kwargs(engine, workers, runtime)
     app = _resolve_app(app_or_id)
     if isinstance(engine, ExecutionRuntime):
         return Sherlock(app, config, runtime=engine).run(rounds=rounds)
-    spec = _config_engine_spec(engine, config)
-    with ExecutionRuntime(engine=spec, cache=coerce_cache(cache)) as rt:
+    if engine is None and config is not None:
+        engine = config.engine
+    with ExecutionRuntime(engine=engine, cache=coerce_cache(cache)) as rt:
         return Sherlock(app, config, runtime=rt).run(rounds=rounds)
 
 
@@ -173,25 +107,12 @@ async def arun(
     engine: RunEngineSpec = None,
     cache: CacheSpec = None,
 ) -> SherlockReport:
-    """Async-native :func:`run`: ``await repro.arun("App-2")``.
-
-    Runs on the caller's event loop; trace-cache disk I/O and job
-    fan-out happen in worker threads so the loop stays responsive.
-    Defaults to the async engine (``engine="async"``) when neither the
-    ``engine=`` argument nor ``config.engine`` chooses one — byte-for-
-    byte the same report either way.
-    """
-    app = _resolve_app(app_or_id)
-    if isinstance(engine, ExecutionRuntime):
-        return await Sherlock(app, config, runtime=engine).arun(
-            rounds=rounds
-        )
-    spec = _config_engine_spec(engine, config, default="async")
-    rt = ExecutionRuntime(engine=spec, cache=coerce_cache(cache))
-    try:
-        return await Sherlock(app, config, runtime=rt).arun(rounds=rounds)
-    finally:
-        rt.close()
+    """``await repro.arun("App-2")``: :func:`run` in a worker thread, so
+    the caller's event loop keeps running; same arguments, byte-for-byte
+    the same report."""
+    return await asyncio.to_thread(
+        run, app_or_id, config, rounds=rounds, engine=engine, cache=cache
+    )
 
 
 def predict_races(
@@ -250,14 +171,14 @@ def convert_predictions(
     policy: str = "random",
     targets: Optional[dict] = None,
     engine: Optional[str] = None,
-    workers: int = 1,
 ):
     """Directed schedule search over predicted-only races.
 
     Takes the apps' predicted-but-not-first races (from
     :func:`predict_races` / a campaign's ``schedule_targets()``), fans
     ``schedules`` :class:`~repro.sim.schedule.DirectedPolicy` runs per
-    app over the execution engine, and returns a
+    app over the execution engine (``engine="process:N"`` for a pool),
+    and returns a
     :class:`~repro.predict.convert.ConvertReport`: per target, either
     *converted* (the prediction was validated by an observed FastTrack
     race under the rolling soundness horizon) or *flagged* (no directed
@@ -280,7 +201,6 @@ def convert_predictions(
         rounds=rounds,
         policy=policy,
         specs=specs,
-        workers=workers,
         engine=engine,
         targets=targets,
     )

@@ -122,10 +122,10 @@ def _add_shared_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         help="worker processes for test execution (default 1 = serial)",
     )
     parser.add_argument(
-        "--engine", choices=["serial", "process", "async"],
+        "--engine", choices=["serial", "process"],
         default=default(None),
         help="execution engine (default: serial, or a process pool when "
-        "--workers > 1); --workers sizes process/async concurrency",
+        "--workers > 1); --workers sizes the process pool",
     )
     parser.add_argument(
         "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=default(None),
@@ -303,10 +303,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _engine_spec(engine: Optional[str], workers: int) -> str:
+    """Fold ``--engine`` / ``--workers`` into one engine spec string.
+
+    No ``--engine`` picks a process pool only when ``--workers`` > 1;
+    ``--engine process`` without ``--workers`` sizes the pool from
+    ``os.cpu_count()``.
+    """
+    if engine == "serial" or (engine is None and workers == 1):
+        return "serial"
+    return "process" if workers == 1 else f"process:{workers}"
+
+
 def _print_stats(report, runtime: ExecutionRuntime) -> None:
     print("-- stats " + "-" * 31)
     print(report.metrics.describe())
-    print(f"engine: {runtime.engine!r}")
+    print(f"engine: {runtime.engine}, workers={runtime.workers}")
     if runtime.cache is not None:
         print(f"trace cache: {runtime.cache!r}")
 
@@ -361,8 +373,6 @@ def _cmd_fuzz(args, runtime: ExecutionRuntime) -> int:
         base_seed=args.seed,
         rounds=args.rounds,
         policy=args.policy,
-        workers=args.workers,
-        engine=args.engine,
         replay_every=args.replay_every,
         oracles=not args.no_oracles,
     )
@@ -387,8 +397,6 @@ def _convert_followup(args, runtime, apps, targets=None, specs=("manual",)):
         base_seed=args.seed,
         rounds=args.rounds,
         specs=tuple(specs),
-        workers=args.workers,
-        engine=args.engine,
         targets=targets or None,
     )
     report = run_conversion(config, runtime=runtime)
@@ -411,8 +419,6 @@ def _cmd_predict(args, runtime: ExecutionRuntime) -> int:
         rounds=args.rounds,
         policy=args.policy,
         specs=specs,
-        workers=args.workers,
-        engine=args.engine,
     )
     report = run_power_sweep(config, runtime=runtime)
     print(report.table().render())
@@ -441,8 +447,6 @@ def _cmd_convert(args, runtime: ExecutionRuntime) -> int:
         rounds=args.rounds,
         policy=args.policy,
         specs=specs,
-        workers=args.workers,
-        engine=args.engine,
     )
     report = run_conversion(config, runtime=runtime)
     print(report.table().render())
@@ -478,9 +482,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         return 0
     with ExecutionRuntime(
-        workers=args.workers,
+        engine=_engine_spec(args.engine, args.workers),
         cache=coerce_cache(args.cache),
-        engine=args.engine,
     ) as runtime:
         # Experiment regenerators pick this runtime up via run_all().
         common.set_default_runtime(runtime)

@@ -77,8 +77,8 @@ class SherlockConfig:
     #: "pct"/"pct:<change-prob>" (priority-based schedule exploration).
     schedule_policy: str = "random"
     #: Execution-engine spec used when no runtime/engine is supplied at
-    #: the call site: "auto" (serial for ``repro.run``, async for
-    #: ``repro.arun``) | "serial" | "process[:N]" | "async[:N]".
+    #: the call site: "auto" (serial) | "serial" | "process[:N]" (a
+    #: process pool of N workers, ``os.cpu_count()`` when unsized).
     #: Execution-only: engines never change results (byte-identical
     #: reports), so this is not part of trace-cache keys or serialized
     #: reports.
@@ -146,10 +146,10 @@ class SherlockConfig:
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
         build_policy(self.schedule_policy)  # raises ValueError when unknown
-        # Deferred import: runtime.engines itself imports core modules.
-        from ..runtime.engines import validate_engine_spec
+        # Deferred import: runtime.engine itself imports core modules.
+        from ..runtime.engine import parse_engine_spec
 
-        validate_engine_spec(self.engine)  # raises ValueError when unknown
+        parse_engine_spec(self.engine)  # raises ValueError when unknown
 
 
 #: Ablation settings used by Table 5, keyed by the paper's row labels.

@@ -7,22 +7,21 @@ next round's delay plan.  No delay is injected in the first round.
 
 Test execution is delegated to an
 :class:`~repro.runtime.engine.ExecutionRuntime`, which may fan tests out
-across a process pool or asyncio tasks (``config.engine``) and/or replay
-rounds from a trace cache; the default runtime is serial and cache-less,
-matching historic behavior.  The pipeline itself is asyncio-native —
-:meth:`Sherlock.arun` is the implementation, :meth:`Sherlock.run` a
-synchronous façade over it — and per-phase timings and cache counters
-land in a :class:`~repro.runtime.metrics.RunMetrics` on every round.
+across a process pool (``config.engine``) and/or replay rounds from a
+trace cache; the default runtime is serial and cache-less, matching
+historic behavior.  :meth:`Sherlock.run` is a plain synchronous round
+loop (:meth:`Sherlock.arun` runs it in a worker thread for async
+callers), and per-phase timings and cache counters land in a
+:class:`~repro.runtime.metrics.RunMetrics` on every round.
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..runtime._sync import _run_sync
 from ..runtime.engine import ExecutionRuntime
 from ..runtime.metrics import RunMetrics
 from ..sim.program import Application
@@ -118,20 +117,10 @@ class Sherlock:
     def run(self, rounds: Optional[int] = None) -> SherlockReport:
         """Run the full multi-round pipeline and return the report.
 
-        Synchronous façade over :meth:`arun` — callers need no event
-        loop (and may even hold a running one: the pipeline then runs on
-        a private loop in a helper thread).  ``rounds`` overrides the
-        configured round count by deriving a ``config.without(rounds=...)``
-        copy, so ``report.config.rounds`` always matches the number of
-        rounds that actually ran.
+        ``rounds`` overrides the configured round count by deriving a
+        ``config.without(rounds=...)`` copy, so ``report.config.rounds``
+        always matches the number of rounds that actually ran.
         """
-        return _run_sync(self.arun(rounds=rounds))
-
-    async def arun(self, rounds: Optional[int] = None) -> SherlockReport:
-        """Async-native pipeline: awaits round observation (cache I/O
-        and job fan-out run off the event loop), keeping the
-        CPU-bound extract/solve/perturb stages inline.  Byte-identical
-        results to :meth:`run` — it *is* :meth:`run`."""
         config = self.config
         if rounds is not None and rounds != config.rounds:
             config = config.without(rounds=rounds)
@@ -142,7 +131,7 @@ class Sherlock:
 
         for round_index in range(config.rounds):
             t_start = time.perf_counter()
-            outcome = await self.runtime.aobserve_round(
+            outcome = self.runtime.observe_round(
                 self.app, config, round_index, delay_plan
             )
             executions = outcome.executions
@@ -187,9 +176,6 @@ class Sherlock:
                 lp_delta_variables=inference.lp_delta_variables,
                 lp_delta_constraints=inference.lp_delta_constraints,
                 workers=outcome.workers_used,
-                engine_concurrency_hwm=outcome.concurrency_hwm,
-                engine_jobs_cancelled=outcome.jobs_cancelled,
-                engine_await_s=outcome.await_s,
             )
             round_results.append(
                 RoundResult(
@@ -215,6 +201,11 @@ class Sherlock:
             store=store,
         )
 
+    async def arun(self, rounds: Optional[int] = None) -> SherlockReport:
+        """Async façade: :meth:`run` in a worker thread, so the caller's
+        event loop stays free.  Byte-identical results to :meth:`run`."""
+        return await asyncio.to_thread(self.run, rounds)
+
     def _ingest(
         self,
         store: ObservationStore,
@@ -233,17 +224,4 @@ class Sherlock:
             store.ingest_run(execution.log, windows)
 
 
-def run_sherlock(
-    app: Application, config: Optional[SherlockConfig] = None
-) -> SherlockReport:
-    """Deprecated one-call entry point; use :func:`repro.run` instead."""
-    warnings.warn(
-        "run_sherlock() is deprecated and will be removed in repro 2.0; "
-        "use repro.run(app_or_id, ...) (or repro.arun) instead",
-        FutureWarning,
-        stacklevel=2,
-    )
-    return Sherlock(app, config).run()
-
-
-__all__ = ["RoundResult", "Sherlock", "SherlockReport", "run_sherlock"]
+__all__ = ["RoundResult", "Sherlock", "SherlockReport"]

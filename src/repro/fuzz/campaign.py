@@ -5,11 +5,11 @@ is one full Observer → Solver → Perturber pipeline run under a distinct
 ``(seed, policy)``, with every observed trace fed through the
 :mod:`~repro.fuzz.sanitizer` and the final report through the
 :mod:`~repro.fuzz.oracles`.  Schedules fan out across an
-:class:`~repro.runtime.engine.ExecutionRuntime` engine (``workers`` /
-``engine``), and a *permutation pass* re-executes a sample of
-schedules in reverse order afterwards, checking that trace digests and
-serialized reports come back byte-identical (runs must not leak state
-into each other, and report content must not depend on campaign order).
+:class:`~repro.runtime.engine.ExecutionRuntime` (``engine``), and a
+*permutation pass* re-executes a sample of schedules in reverse order
+afterwards, checking that trace digests and serialized reports come
+back byte-identical (runs must not leak state into each other, and
+report content must not depend on campaign order).
 """
 
 from __future__ import annotations
@@ -50,10 +50,8 @@ class CampaignConfig:
     #: only converges on true syncs after the third round's feedback).
     rounds: int = 3
     policy: str = "random"
-    workers: int = 1
     #: Execution-engine spec for the schedule fan-out ("serial" |
-    #: "process[:N]" | "async[:N]"); ``None`` derives from ``workers``
-    #: (process pool when > 1).  ``workers`` sizes an unsized spec.
+    #: "process[:N]"); ``None`` runs serially.
     engine: Optional[str] = None
     #: λ-stability probe half-width (±fraction of config.lam).  ±1% is
     #: the empirically stable band across all 8 apps at rounds=3; App-4
@@ -72,16 +70,14 @@ class CampaignConfig:
             raise ValueError("schedules must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.replay_every < 0:
             raise ValueError("replay_every must be >= 0")
         if not self.app_ids:
             raise ValueError("campaign needs at least one app id")
         if self.engine is not None:
-            from ..runtime.engines import validate_engine_spec
+            from ..runtime.engine import parse_engine_spec
 
-            validate_engine_spec(self.engine)
+            parse_engine_spec(self.engine)
         # Resolves aliases eagerly so typos fail before any execution
         # (result discarded: resolution itself happens in resolved()).
         for app_id in self.app_ids:
@@ -291,9 +287,7 @@ class CampaignReport:
         lines = [
             f"fuzz campaign: {len(self.results)} schedules over "
             f"{len(self.config.app_ids)} app(s), policy="
-            f"{self.config.policy}, rounds={self.config.rounds}, "
-            f"workers={self.config.workers}, "
-            f"engine={self.config.engine or 'auto'}"
+            f"{self.config.policy}, rounds={self.config.rounds}"
         ]
         for app_id, row in self.per_app().items():
             lines.append(
@@ -342,9 +336,7 @@ def run_campaign(
     ]
 
     owned = runtime is None
-    rt = runtime or ExecutionRuntime(
-        workers=config.workers, engine=config.engine
-    )
+    rt = runtime or ExecutionRuntime(engine=config.engine)
     try:
         results = rt.map_jobs(run_schedule_job, jobs)
         # Permutation pass: replay a sample in reverse order; equivalent

@@ -234,7 +234,8 @@ class ConvertConfig:
     #: Schedule policy of the observed baseline run.
     policy: str = "random"
     specs: Tuple[str, ...] = ("manual",)
-    workers: int = 1
+    #: Execution-engine spec ("serial" | "process[:N]"); ``None`` runs
+    #: serially.  Execution-only: never serialized.
     engine: Optional[str] = None
     #: Explicit targets per app id (e.g. from
     #: ``CampaignReport.schedule_targets()``); apps not listed derive
@@ -248,17 +249,15 @@ class ConvertConfig:
             raise ValueError("schedules must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if not self.app_ids:
             raise ValueError("conversion needs at least one app id")
         for kind in self.specs:
             if kind not in ("manual", "sherlock"):
                 raise ValueError(f"unknown spec kind {kind!r}")
         if self.engine is not None:
-            from ..runtime.engines import validate_engine_spec
+            from ..runtime.engine import parse_engine_spec
 
-            validate_engine_spec(self.engine)
+            parse_engine_spec(self.engine)
         for app_id in self.app_ids:
             resolve_app_id(app_id)
         for targets in (self.targets or {}).values():
@@ -421,8 +420,6 @@ class ConvertReport:
                 "rounds": self.config.rounds,
                 "policy": self.config.policy,
                 "specs": list(self.config.specs),
-                "workers": self.config.workers,
-                "engine": self.config.engine,
                 "targets": self.config.targets,
             },
             "totals": {
@@ -456,9 +453,7 @@ def run_conversion(
         for kind in config.specs
     ]
     owned = runtime is None
-    rt = runtime or ExecutionRuntime(
-        workers=config.workers, engine=config.engine
-    )
+    rt = runtime or ExecutionRuntime(engine=config.engine)
     try:
         baselines = rt.map_jobs(run_baseline_job, baseline_jobs)
         targets_of: Dict[Tuple[str, str], List[str]] = {}
@@ -522,7 +517,7 @@ def run_conversion(
     report.metrics.convert_converted = report.total_converted
     report.metrics.convert_flagged = report.total_flagged
     report.metrics.convert_runs = len(runs)
-    report.metrics.workers = config.workers
+    report.metrics.workers = rt.workers
     return report
 
 

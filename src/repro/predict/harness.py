@@ -234,7 +234,8 @@ class PowerConfig:
     rounds: int = 3
     policy: str = "random"
     specs: Tuple[str, ...] = ("manual", "sherlock")
-    workers: int = 1
+    #: Execution-engine spec ("serial" | "process[:N]"); ``None`` runs
+    #: serially.  Execution-only: never serialized.
     engine: Optional[str] = None
 
     def validate(self) -> None:
@@ -249,9 +250,9 @@ class PowerConfig:
             if kind not in ("manual", "sherlock"):
                 raise ValueError(f"unknown spec kind {kind!r}")
         if self.engine is not None:
-            from ..runtime.engines import validate_engine_spec
+            from ..runtime.engine import parse_engine_spec
 
-            validate_engine_spec(self.engine)
+            parse_engine_spec(self.engine)
         for app_id in self.app_ids:
             resolve_app_id(app_id)
         SherlockConfig(schedule_policy=self.policy)  # spec check
@@ -337,8 +338,6 @@ class PowerReport:
                 "rounds": self.config.rounds,
                 "policy": self.config.policy,
                 "specs": list(self.config.specs),
-                "workers": self.config.workers,
-                "engine": self.config.engine,
             },
             "totals": {
                 "jobs": len(self.rows),
@@ -366,9 +365,7 @@ def run_power_sweep(
         for i in range(config.schedules)
     ]
     owned = runtime is None
-    rt = runtime or ExecutionRuntime(
-        workers=config.workers, engine=config.engine
-    )
+    rt = runtime or ExecutionRuntime(engine=config.engine)
     try:
         rows = rt.map_jobs(run_predict_job, jobs)
     finally:

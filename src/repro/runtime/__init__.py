@@ -1,23 +1,20 @@
-"""Execution runtime: pluggable engines, trace caching, run metrics.
+"""Execution runtime: process-pool fan-out, trace caching, run metrics.
 
 The runtime layer sits between the SherLock pipeline and the simulator:
 
-* :class:`ExecutionRuntime` — consults a trace cache, then delegates
-  round execution to a pluggable engine; sync and async surfaces;
-* :class:`Engine` — the engine interface, with
-  :class:`SerialEngine` / :class:`ProcessEngine` / :class:`AsyncEngine`
-  implementations (``engine="serial" | "process" | "async"``);
+* :class:`ExecutionRuntime` — consults a trace cache, then executes a
+  round's unit tests in-process or across an optional process pool
+  (``engine="serial" | "process[:N]"``); synchronous, with a one-line
+  ``asyncio.to_thread`` façade (``aobserve_round``) for async callers;
 * :class:`TraceCache` — content-addressed memoization of observed rounds
   (in-memory LRU + optional on-disk JSON store under ``.repro_cache/``);
-* :class:`RunMetrics` — per-phase timings and cache/LP/engine counters
-  surfaced on round results and reports.
+* :class:`RunMetrics` — per-phase timings and cache/LP counters surfaced
+  on round results and reports.
 
-All engines and cached runs are guaranteed to serialize byte-identically
-to serial cold runs; see DESIGN.md § "Runtime" and § "Engines and the
-async runtime".
+Process-pool and cached runs are guaranteed to serialize byte-identically
+to serial cold runs; see DESIGN.md § "Runtime" and § "Engines".
 """
 
-from ._sync import _run_sync
 from .cache import (
     CACHE_FORMAT_VERSION,
     DEFAULT_CACHE_DIR,
@@ -26,38 +23,24 @@ from .cache import (
     round_key,
     thaw_delay_plan,
 )
-from .engine import ExecutionRuntime, ObserveOutcome
-from .engines import (
-    AsyncEngine,
-    Engine,
-    EngineMetrics,
-    ProcessEngine,
-    SerialEngine,
-    coerce_engine,
+from .engine import (
+    ExecutionRuntime,
+    ObserveOutcome,
     execute_test_payload,
     parse_engine_spec,
-    validate_engine_spec,
 )
 from .metrics import RunMetrics
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "DEFAULT_CACHE_DIR",
-    "AsyncEngine",
-    "Engine",
-    "EngineMetrics",
     "ExecutionRuntime",
     "ObserveOutcome",
-    "ProcessEngine",
     "RunMetrics",
-    "SerialEngine",
     "TraceCache",
-    "_run_sync",
-    "coerce_engine",
     "execute_test_payload",
     "freeze_delay_plan",
     "parse_engine_spec",
     "round_key",
     "thaw_delay_plan",
-    "validate_engine_spec",
 ]

@@ -91,13 +91,6 @@ class RunMetrics:
     convert_runs: int = 0
     #: Worker-process count of the runtime that produced the traces.
     workers: int = 1
-    #: Engine fan-out counters (see
-    #: :class:`~repro.runtime.engines.EngineMetrics`): most jobs in
-    #: flight at once, jobs cancelled after a sibling failed (async
-    #: engine), and wall seconds spent awaiting job batches.
-    engine_concurrency_hwm: int = 0
-    engine_jobs_cancelled: int = 0
-    engine_await_s: float = 0.0
 
     @property
     def total_s(self) -> float:
@@ -146,13 +139,6 @@ class RunMetrics:
         self.convert_flagged += other.convert_flagged
         self.convert_runs += other.convert_runs
         self.workers = max(self.workers, other.workers)
-        # The high-water mark is level-valued (keep the peak); the other
-        # engine counters are per-round work and add up.
-        self.engine_concurrency_hwm = max(
-            self.engine_concurrency_hwm, other.engine_concurrency_hwm
-        )
-        self.engine_jobs_cancelled += other.engine_jobs_cancelled
-        self.engine_await_s += other.engine_await_s
 
     @classmethod
     def aggregate(cls, rounds: Iterable["RunMetrics"]) -> "RunMetrics":
@@ -195,10 +181,6 @@ class RunMetrics:
                 f"re-solve: {self.lp_dual_iterations} dual pivots, "
                 f"{self.lp_phase1_iterations} phase-1 iterations, "
                 f"phase-1 skipped in {self.lp_phase1_skipped} round(s)",
-                f"engine: concurrency hwm "
-                f"{self.engine_concurrency_hwm}, "
-                f"{self.engine_jobs_cancelled} cancelled jobs, "
-                f"await {self.engine_await_s:.3f}s",
                 f"convert: {self.convert_targets} targets, "
                 f"{self.convert_converted} converted, "
                 f"{self.convert_flagged} flagged, "

@@ -99,7 +99,7 @@ class TestCampaignConfigValidate:
         [
             {"schedules": 0},
             {"rounds": 0},
-            {"workers": 0},
+            {"engine": "process:0"},
             {"replay_every": -1},
             {"app_ids": []},
         ],
@@ -248,7 +248,7 @@ class TestRunCampaign:
             oracles=False,
             replay_every=0,
         )
-        with ExecutionRuntime(workers=1) as rt:
+        with ExecutionRuntime(engine="serial") as rt:
             report = run_campaign(config, runtime=rt)
         assert len(report.results) == 2
         assert report.ok()

@@ -57,7 +57,7 @@ def test_sweep_on_shared_runtime():
     config = PowerConfig(
         app_ids=["App-7"], schedules=2, rounds=1, specs=("manual",)
     )
-    with ExecutionRuntime(workers=1) as rt:
+    with ExecutionRuntime(engine="serial") as rt:
         report = run_power_sweep(config, runtime=rt)
     assert [r.seed for r in report.rows] == [0, 1]
 

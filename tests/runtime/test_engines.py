@@ -1,38 +1,35 @@
-"""The pluggable engine layer: spec parsing, the ``engine=`` redesign,
-the async engine's bounded fan-out and cooperative cancellation, legacy
-kwarg shims, and runtime lifecycle guarantees.
+"""The execution runtime's engine surface: spec parsing, how ``engine=``
+arguments become a runtime, the CLI's ``--engine``/``--workers``
+folding, ``repro.arun``, and runtime lifecycle guarantees.
 
-The byte-identity matrix (serial == process == async == cached) lives in
+The byte-identity matrix (serial == process == cached) lives in
 ``test_runtime_determinism.py``; this file covers the API surface and
 the engine-specific semantics around it.
 """
 
 import asyncio
 import json
-import threading
-import time
+import os
 import warnings
 
 import pytest
 
 import repro
-from repro.api import _shim_legacy_kwargs
+from repro.cli import _engine_spec, main
 from repro.core import SherlockConfig
 from repro.core.serialize import report_to_dict
-from repro.runtime import (
-    AsyncEngine,
-    Engine,
-    ExecutionRuntime,
-    ProcessEngine,
-    SerialEngine,
-    TraceCache,
-    coerce_engine,
-    parse_engine_spec,
-)
+from repro.fuzz import CampaignConfig
+from repro.predict import PowerConfig
+from repro.predict.convert import ConvertConfig
+from repro.runtime import ExecutionRuntime, TraceCache, parse_engine_spec
 
 
 def canonical(report) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True)
+
+
+def _square(x):
+    return x * x
 
 
 # -- spec parsing ------------------------------------------------------------
@@ -46,8 +43,6 @@ class TestParseEngineSpec:
             ("serial", ("serial", None)),
             ("process", ("process", None)),
             ("process:4", ("process", 4)),
-            ("async", ("async", None)),
-            ("async:8", ("async", 8)),
         ],
     )
     def test_valid_specs(self, spec, expected):
@@ -56,7 +51,7 @@ class TestParseEngineSpec:
     @pytest.mark.parametrize(
         "spec",
         ["threads", "process:0", "process:-1", "process:x", "serial:2",
-         "auto:4", ""],
+         "auto:4", "", "async", "async:8"],
     )
     def test_invalid_specs_raise(self, spec):
         with pytest.raises(ValueError):
@@ -67,71 +62,129 @@ class TestParseEngineSpec:
             parse_engine_spec(4)
 
 
+def _rejects_via_run(spec):
+    repro.run("App-5", SherlockConfig(rounds=1), engine=spec)
+
+
+def _rejects_via_config(spec):
+    SherlockConfig(engine=spec).validate()
+
+
+def _rejects_via_runtime(spec):
+    ExecutionRuntime(engine=spec)
+
+
+def _rejects_via_campaign(spec):
+    CampaignConfig(app_ids=["App-7"], engine=spec).validate()
+
+
+def _rejects_via_power(spec):
+    PowerConfig(app_ids=["App-7"], engine=spec).validate()
+
+
+def _rejects_via_convert(spec):
+    ConvertConfig(app_ids=["App-5"], engine=spec).validate()
+
+
+@pytest.mark.parametrize("spec", ["async", "async:2"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _rejects_via_run,
+        _rejects_via_config,
+        _rejects_via_runtime,
+        _rejects_via_campaign,
+        _rejects_via_power,
+        _rejects_via_convert,
+    ],
+    ids=["run", "config", "runtime", "campaign", "power", "convert"],
+)
+def test_async_spec_rejected_by_every_entry_point(entry, spec):
+    """The async engine is gone: every entry point names the valid
+    kinds instead of silently falling back."""
+    with pytest.raises(ValueError, match=r"'serial', 'process'"):
+        entry(spec)
+
+
+@pytest.mark.parametrize("spec", ["async", "async:2"])
+def test_async_spec_rejected_by_cli(spec, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--engine", spec, "infer", "App-5"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+# -- engine= arguments -------------------------------------------------------
+
+
 class TestCoerceEngine:
+    """How an ``engine=`` argument becomes a runtime, including the
+    CLI's ``--engine``/``--workers`` folding into one spec string."""
+
     def test_default_is_serial(self):
-        assert isinstance(coerce_engine(None), SerialEngine)
-        assert isinstance(coerce_engine("auto"), SerialEngine)
+        for spec in (None, "auto", "serial"):
+            rt = ExecutionRuntime(engine=spec)
+            assert (rt.engine, rt.workers) == ("serial", 1)
 
     def test_auto_with_workers_picks_process_pool(self):
-        engine = coerce_engine("auto", default_workers=3)
-        assert isinstance(engine, ProcessEngine)
-        assert engine.concurrency == 3
+        spec = _engine_spec(None, 3)
+        assert spec == "process:3"
+        rt = ExecutionRuntime(engine=spec)
+        assert (rt.engine, rt.workers) == ("process", 3)
 
     def test_sized_specs(self):
-        assert coerce_engine("process:5").concurrency == 5
-        assert coerce_engine("async:7").concurrency == 7
+        assert ExecutionRuntime(engine="process:5").workers == 5
 
     def test_unsized_specs_size_from_default_workers(self):
-        assert coerce_engine("process", default_workers=6).concurrency == 6
-        assert coerce_engine("async", default_workers=6).concurrency == 6
+        assert _engine_spec("process", 6) == "process:6"
+        assert _engine_spec("serial", 6) == "serial"
 
     def test_unsized_specs_fall_back_to_cpu_count(self):
-        assert coerce_engine("async").concurrency >= 1
+        assert _engine_spec("process", 1) == "process"
+        rt = ExecutionRuntime(engine="process")
+        assert rt.workers == (os.cpu_count() or 1)
 
     def test_engine_instance_passes_through(self):
-        engine = SerialEngine()
-        assert coerce_engine(engine) is engine
+        """A caller-owned runtime is used as-is (its cache wins) and
+        stays open for the next call."""
+        config = SherlockConfig(rounds=1, seed=0)
+        cache = TraceCache()
+        with ExecutionRuntime(cache=cache) as rt:
+            repro.run("App-5", config, engine=rt, cache=None)
+            assert not rt.closed
+            warm = repro.run("App-5", config, engine=rt)
+        assert warm.metrics.cache_hits == 1
 
     def test_config_rejects_bad_spec_at_construction(self):
         with pytest.raises(ValueError, match="engine spec"):
             SherlockConfig(engine="threads")
-        assert SherlockConfig(engine="async:2").engine == "async:2"
-
-
-# -- legacy kwarg shims ------------------------------------------------------
+        assert SherlockConfig(engine="process:2").engine == "process:2"
 
 
 class TestLegacyKwargShims:
+    """``workers`` survives only as the CLI's ``--workers`` knob, folded
+    into an engine spec; the library kwargs are gone."""
+
     def test_workers_one_maps_to_serial(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            assert _shim_legacy_kwargs(None, 1, None) == "serial"
+        assert _engine_spec(None, 1) == "serial"
 
     def test_workers_n_maps_to_process_pool(self):
-        with pytest.warns(DeprecationWarning, match="process:N"):
-            assert _shim_legacy_kwargs(None, 4, None) == "process:4"
+        assert _engine_spec(None, 4) == "process:4"
 
-    def test_runtime_maps_to_engine(self):
-        rt = ExecutionRuntime()
-        with pytest.warns(DeprecationWarning, match="engine="):
-            assert _shim_legacy_kwargs(None, None, rt) is rt
-        rt.close()
+    @pytest.mark.parametrize(
+        "kwargs", [{"workers": 2}, {"runtime": None}]
+    )
+    def test_removed_run_kwargs_raise_type_error(self, kwargs):
+        with pytest.raises(TypeError):
+            repro.run("App-5", SherlockConfig(rounds=1), **kwargs)
 
-    def test_engine_plus_workers_conflict(self):
-        with pytest.raises(TypeError, match="workers"):
-            _shim_legacy_kwargs("serial", 4, None)
-
-    def test_engine_plus_runtime_conflict(self):
-        rt = ExecutionRuntime()
-        with pytest.raises(TypeError, match="runtime"):
-            _shim_legacy_kwargs("serial", None, rt)
-        rt.close()
-
-    def test_run_with_legacy_workers_still_works(self):
-        config = SherlockConfig(rounds=1, seed=0)
-        baseline = repro.run("App-5", config)
-        with pytest.warns(DeprecationWarning, match="engine="):
-            legacy = repro.run("App-5", config, workers=1)
-        assert canonical(legacy) == canonical(baseline)
+    def test_removed_entry_points_are_gone(self):
+        assert not hasattr(repro, "run_sherlock")
+        assert not hasattr(repro.core, "run_sherlock")
+        with pytest.raises(TypeError):
+            ExecutionRuntime(workers=2)
+        with pytest.raises(TypeError):
+            CampaignConfig(app_ids=["App-7"], workers=2)
 
     def test_new_api_emits_no_deprecation_warning(self):
         config = SherlockConfig(rounds=1, seed=0)
@@ -140,73 +193,18 @@ class TestLegacyKwargShims:
             repro.run("App-5", config, engine="serial", cache="memory")
 
 
-# -- the async engine --------------------------------------------------------
-
-
-class TestAsyncEngine:
-    def test_concurrency_is_bounded_by_semaphore(self):
-        engine = AsyncEngine(concurrency=2)
-
-        def job(i):
-            time.sleep(0.02)
-            return i * i
-
-        results = engine.map_jobs(job, list(range(8)))
-        assert results == [i * i for i in range(8)]
-        assert 1 <= engine.metrics.concurrency_hwm <= 2
-        assert engine.metrics.jobs_completed == 8
-        assert engine.metrics.await_s > 0.0
-
-    def test_jobs_actually_overlap(self):
-        # A two-party barrier only releases when two jobs are inside it
-        # simultaneously; the 5 s timeout turns a serialized engine into
-        # a loud BrokenBarrierError instead of a hang.
-        engine = AsyncEngine(concurrency=2)
-        barrier = threading.Barrier(2, timeout=5.0)
-
-        def job(i):
-            barrier.wait()
-            return i
-
-        assert engine.map_jobs(job, [0, 1]) == [0, 1]
-        assert engine.metrics.concurrency_hwm == 2
-
-    def test_failure_cancels_queued_jobs_and_propagates(self):
-        engine = AsyncEngine(concurrency=1)
-
-        def job(i):
-            if i == 0:
-                raise ValueError("job 0 failed")
-            time.sleep(0.2)
-            return i
-
-        with pytest.raises(ValueError, match="job 0 failed"):
-            engine.map_jobs(job, [0, 1, 2])
-        assert engine.metrics.jobs_cancelled >= 1
-        # The engine stays usable after a failed batch.
-        assert engine.map_jobs(lambda i: i + 1, [1, 2]) == [2, 3]
-
-    def test_invalid_concurrency_rejected(self):
-        with pytest.raises(ValueError):
-            AsyncEngine(concurrency=0)
-
-    def test_amap_jobs_runs_on_caller_loop(self):
-        engine = AsyncEngine(concurrency=2)
-
-        async def fan_out():
-            return await engine.amap_jobs(lambda i: i * 10, [1, 2, 3])
-
-        assert asyncio.run(fan_out()) == [10, 20, 30]
+# -- rounds and the async entry point ----------------------------------------
 
 
 class TestAsyncEngineRounds:
+    """Rounds driven through ``repro.arun`` (the async entry point over
+    the synchronous engines) and the engine metrics rounds carry."""
+
     def test_round_metrics_surface_in_report(self):
         config = SherlockConfig(rounds=2, seed=0)
-        report = repro.run("App-7", config, engine="async:4")
-        assert report.metrics.engine_concurrency_hwm >= 1
-        assert report.metrics.engine_jobs_cancelled == 0
-        assert report.metrics.engine_await_s > 0.0
-        assert "engine:" in report.metrics.describe()
+        report = repro.run("App-7", config, engine="process:2")
+        assert [r.metrics.workers for r in report.rounds] == [2, 2]
+        assert "workers=2" in report.metrics.describe()
 
     def test_arun_matches_sync_run(self):
         config = SherlockConfig(rounds=2, seed=0)
@@ -226,7 +224,7 @@ class TestAsyncEngineRounds:
         cold, warm = asyncio.run(twice())
         assert canonical(cold) == canonical(warm)
         assert warm.metrics.cache_hits == 2
-        assert warm.metrics.engine_concurrency_hwm == 0  # nothing ran
+        assert warm.metrics.cache_misses == 0  # nothing ran
 
 
 # -- runtime lifecycle -------------------------------------------------------
@@ -234,7 +232,7 @@ class TestAsyncEngineRounds:
 
 class TestRuntimeLifecycle:
     def test_close_is_idempotent(self):
-        rt = ExecutionRuntime(engine="async:2")
+        rt = ExecutionRuntime(engine="process:2")
         rt.close()
         rt.close()
         assert rt.closed
@@ -250,9 +248,12 @@ class TestRuntimeLifecycle:
             )
 
     def test_engine_close_is_idempotent(self):
-        for engine in (SerialEngine(), ProcessEngine(2), AsyncEngine(2)):
-            engine.close()
-            engine.close()
+        for spec in ("serial", "process:2"):
+            rt = ExecutionRuntime(engine=spec)
+            assert rt.map_jobs(_square, [1, 2, 3]) == [1, 4, 9]
+            rt.close()
+            rt.close()
+            assert rt._pool is None
 
     def test_interrupt_tears_runtime_down(self):
         rt = ExecutionRuntime()
@@ -279,10 +280,10 @@ class TestRuntimeLifecycle:
     def test_runtime_reports_engine_name_in_outcome(self):
         config = SherlockConfig(rounds=1, seed=0)
         app = repro.get_application("App-5")
-        with ExecutionRuntime(engine="async:2") as rt:
+        with ExecutionRuntime(engine="process:2") as rt:
             outcome = rt.observe_round(app, config, 0)
-        assert outcome.engine == "async"
-        assert outcome.concurrency_hwm >= 1
+        assert outcome.engine == "process"
+        assert outcome.workers_used == 2
 
     def test_cache_hit_skips_engine(self):
         config = SherlockConfig(rounds=1, seed=0)
@@ -293,25 +294,4 @@ class TestRuntimeLifecycle:
             outcome = rt.observe_round(app, config, 0)
         assert outcome.cache_hit
         assert outcome.engine == "cache"
-        assert outcome.concurrency_hwm == 0
-
-
-class TestEngineAbstractInterface:
-    def test_engine_cannot_be_instantiated(self):
-        with pytest.raises(TypeError):
-            Engine()
-
-    def test_sync_facade_bridges_custom_async_engine(self):
-        class EchoEngine(Engine):
-            name = "echo"
-
-            async def aexecute_round(self, app, config, round_index, plan):
-                raise NotImplementedError
-
-            async def amap_jobs(self, fn, payloads):
-                await asyncio.sleep(0)
-                return [fn(p) for p in payloads]
-
-        engine = EchoEngine()
-        # The inherited sync façade drives the async implementation.
-        assert engine.map_jobs(lambda x: x + 1, [1, 2]) == [2, 3]
+        assert outcome.workers_used == 1

@@ -1,8 +1,8 @@
 """Determinism guarantee of the execution runtime.
 
-Serial cold runs, process-pool runs, async-engine runs, and warm-cache
-replays must serialize byte-identically: the runtime may change *how
-fast* traces are produced, never *what* is inferred.
+Serial cold runs, process-pool runs, and warm-cache replays must
+serialize byte-identically: the runtime may change *how fast* traces are
+produced, never *what* is inferred.
 """
 
 import json
@@ -29,18 +29,19 @@ def serial_baselines():
     }
 
 
-@pytest.mark.parametrize("app_id", APPS)
-def test_parallel_matches_serial(app_id, serial_baselines):
-    config = SherlockConfig(rounds=2, seed=0)
-    report = repro.run(app_id, config, engine="process:4")
-    assert canonical(report) == serial_baselines[app_id]
+@pytest.fixture(scope="module")
+def process_runtime():
+    """One ``process:2`` pool shared by every app, as a caller would."""
+    with ExecutionRuntime(engine="process:2") as runtime:
+        yield runtime
 
 
 @pytest.mark.parametrize("app_id", APPS)
-def test_async_engine_matches_serial(app_id, serial_baselines):
+def test_parallel_matches_serial(app_id, serial_baselines, process_runtime):
     config = SherlockConfig(rounds=2, seed=0)
-    report = repro.run(app_id, config, engine="async:4")
+    report = repro.run(app_id, config, engine=process_runtime)
     assert canonical(report) == serial_baselines[app_id]
+    assert report.metrics.workers == 2  # the pool really ran the tests
 
 
 @pytest.mark.parametrize("app_id", APPS)
@@ -66,10 +67,11 @@ def test_disk_cache_matches_serial(app_id, serial_baselines, tmp_path):
 
 
 def test_parallel_and_cached_compose(serial_baselines):
-    """workers>1 with a shared cache: cold parallel then warm replay."""
+    """A process pool with a shared cache: cold parallel then warm
+    replay."""
     config = SherlockConfig(rounds=2, seed=0)
     cache = TraceCache()
-    with ExecutionRuntime(workers=4, cache=cache) as runtime:
+    with ExecutionRuntime(engine="process:2", cache=cache) as runtime:
         cold = repro.run("App-7", config, engine=runtime)
         warm = repro.run("App-7", config, engine=runtime)
     assert canonical(cold) == serial_baselines["App-7"]

@@ -1,68 +1,22 @@
-"""The ``_run_sync`` bridge: synchronous entry points over async cores.
+"""Synchronous entry points and their async façades.
 
-``repro.run()`` must stay callable from plain synchronous code *and*
-from inside a running event loop (e.g. a Jupyter cell or an async web
-handler); in the latter case the pipeline runs on a private loop in a
-helper thread rather than raising ``RuntimeError: asyncio.run() cannot
-be called from a running event loop``.
+``repro.run()`` is plain synchronous code: callable without an event
+loop and from inside a running one.  ``repro.arun()`` and
+``ExecutionRuntime.aobserve_round()`` run the same synchronous work in a
+worker thread, so an awaiting caller's event loop keeps turning.
 """
 
 import asyncio
-
-import pytest
+import json
 
 import repro
 from repro.core import SherlockConfig
-from repro.runtime import _run_sync
+from repro.core.serialize import report_to_dict
+from repro.runtime import ExecutionRuntime
 
 
-class TestRunSyncNoLoop:
-    def test_returns_coroutine_value(self):
-        async def forty_two():
-            return 42
-
-        assert _run_sync(forty_two()) == 42
-
-    def test_runs_real_async_work(self):
-        async def gather_some():
-            async def one(i):
-                await asyncio.sleep(0)
-                return i
-
-            return sum(await asyncio.gather(*(one(i) for i in range(5))))
-
-        assert _run_sync(gather_some()) == 10
-
-    def test_propagates_exceptions(self):
-        async def boom():
-            raise ValueError("async failure")
-
-        with pytest.raises(ValueError, match="async failure"):
-            _run_sync(boom())
-
-
-class TestRunSyncInsideRunningLoop:
-    def test_bridges_via_helper_thread(self):
-        async def inner():
-            return "nested"
-
-        async def outer():
-            # A running loop exists here; _run_sync must not try
-            # asyncio.run() on this thread.
-            return _run_sync(inner())
-
-        assert asyncio.run(outer()) == "nested"
-
-    def test_propagates_exceptions_across_threads(self):
-        async def boom():
-            raise KeyError("lost")
-
-        async def outer():
-            with pytest.raises(KeyError, match="lost"):
-                _run_sync(boom())
-            return True
-
-        assert asyncio.run(outer())
+def canonical(report) -> str:
+    return json.dumps(report_to_dict(report), sort_keys=True)
 
 
 class TestRunStaysSynchronous:
@@ -77,3 +31,42 @@ class TestRunStaysSynchronous:
         report = asyncio.run(call_run())
         assert report.app_id == "App-5"
         assert len(report.rounds) == 1
+
+
+class TestAsyncFacades:
+    def test_arun_leaves_the_loop_running(self):
+        """A sibling ticker keeps advancing while ``arun`` is awaited,
+        and the report is byte-identical to the synchronous run."""
+        config = SherlockConfig(rounds=2, seed=0)
+        expected = canonical(repro.run("App-2", config))
+
+        async def main():
+            ticks = 0
+            done = False
+
+            async def ticker():
+                nonlocal ticks
+                while not done:
+                    ticks += 1
+                    await asyncio.sleep(0)
+
+            task = asyncio.create_task(ticker())
+            report = await repro.arun("App-2", config)
+            done = True
+            await task
+            return report, ticks
+
+        report, ticks = asyncio.run(main())
+        assert canonical(report) == expected
+        assert ticks > 1
+
+    def test_aobserve_round_matches_observe_round(self):
+        app = repro.get_application("App-5")
+        config = SherlockConfig(rounds=1, seed=0)
+        with ExecutionRuntime() as rt:
+            sync = rt.observe_round(app, config, 0)
+            async_ = asyncio.run(rt.aobserve_round(app, config, 0))
+        assert [len(e.log) for e in async_.executions] == [
+            len(e.log) for e in sync.executions
+        ]
+        assert async_.engine == sync.engine == "serial"
