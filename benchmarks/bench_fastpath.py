@@ -7,8 +7,8 @@ ships against their reference implementations:
   (``WindowExtractor(indexed=True)``, the default) vs the historical
   all-pairs scan, over every trace a full multi-round run produces;
 * **round-N re-solve** — the final round's ``infer`` with an
-  :class:`~repro.core.encoder.IncrementalEncoder` (append + cached
-  lowering) vs the rebuild-from-scratch path;
+  :class:`~repro.core.encoder.IncrementalEncoder` (append + columnar
+  cover block) vs the rebuild-from-scratch path;
 * **backend solve** — the final-round LP solved once per backend
   (scipy, the sparse revised simplex, the dense tableau reference), a
   like-for-like comparison on the identical model.
@@ -125,7 +125,7 @@ def bench_resolve(
     repeats: int = DEFAULT_REPEATS,
 ) -> Dict[str, float]:
     """Best-of-N wall-clock of the *final* round's ``infer``:
-    incremental (append + cached lowering) vs rebuild-from-scratch."""
+    incremental (append + columnar cover block) vs rebuild-from-scratch."""
     extractor = WindowExtractor(
         near=config.near, window_cap=config.window_cap
     )
@@ -329,9 +329,7 @@ def scale_worker(app_id: str, backend: str, rounds: int, seed: int) -> Dict:
         store.ingest_run(log, extractor.extract(log))
     windows = store.stats()["windows"]
     model, _registry = build_model(store, config)
-    from repro.lp.model import StandardFormCache
-
-    form = model.to_standard_form_cached(StandardFormCache(), 0)
+    form = model.to_sparse_form()
     build_s = time.perf_counter() - t0
 
     from repro.lp import backends as lp_backends

@@ -8,6 +8,10 @@ The Read-Acquire & Write-Release property (Eq. 1) is enforced here by
 construction: incapable combinations simply get no variable, which is
 equivalent to pinning them at 0.  When the property is ablated
 (Table 5 row "w/o Read-Acq & Write-Rel"), every combination is allowed.
+
+The incremental encoder's hot path goes through :meth:`columns`, a
+per-role ``OpRef -> column | None`` memo that skips building and hashing
+a :class:`~repro.trace.optypes.SyncOp` per window-side entry.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from ..lp import Model, Variable
 from ..trace.optypes import OpRef, Role, SyncOp
 
 
+_UNSEEN = object()
+
+
 class CandidateRegistry:
     """Creates and indexes probability variables on demand."""
 
@@ -25,6 +32,12 @@ class CandidateRegistry:
         self.model = model
         self.enforce_capability = enforce_capability
         self._vars: Dict[SyncOp, Variable] = {}
+        #: Per role, ``OpRef -> column index`` (``None`` when the
+        #: capability property rules the pair out).
+        self._columns: Dict[Role, Dict[OpRef, Optional[int]]] = {
+            Role.RELEASE: {},
+            Role.ACQUIRE: {},
+        }
 
     @staticmethod
     def var_name(ref: OpRef, role: Role) -> str:
@@ -57,6 +70,23 @@ class CandidateRegistry:
             v = self.var(ref, Role.ACQUIRE)
             if v is not None:
                 out.append(v)
+        return out
+
+    def columns(self, refs: Iterable[OpRef], role: Role) -> List[int]:
+        """Column indexes of the variables for ``refs`` in ``role``,
+        skipping incapable ones: the ``index`` of every variable
+        :meth:`release_vars` / :meth:`acquire_vars` would return, created
+        on first sight in the same order."""
+        memo = self._columns[role]
+        get = memo.get
+        out = []
+        for ref in refs:
+            col = get(ref, _UNSEEN)
+            if col is _UNSEEN:
+                variable = self.var(ref, role)
+                col = memo[ref] = None if variable is None else variable.index
+            if col is not None:
+                out.append(col)
         return out
 
     def items(self) -> Iterable[Tuple[SyncOp, Variable]]:

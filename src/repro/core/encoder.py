@@ -23,13 +23,22 @@ program of Equations (1)–(8):
 The overall objective (Eq. 8) weights the Mostly-Protected terms at 1 and
 every other hypothesis at λ (default 0.2), matching the paper's described
 trade-off (λ up ⇒ fewer inferred synchronizations, Table 6).
+
+Two encoders produce the same LP.  :func:`build_model` is the reference:
+it builds every term through :class:`~repro.lp.LinExpr` arithmetic.
+:class:`IncrementalEncoder` is the default path: it writes the
+Mostly-Protected terms, one per window side and nearly the whole LP at
+scale, in columnar form — each side becomes one row of column indexes
+plus its ``__max0_k`` auxiliary, appended straight into the model's
+cover block (:meth:`~repro.lp.Model.add_cover_term`) — and appends
+instead of rebuilding across rounds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..lp import LinExpr, Model, StandardForm, StandardFormCache
+from ..lp import LinExpr, Model
 from ..lp import solve as lp_solve
 from ..lp.solution import Solution
 from ..trace.optypes import OpRef, OpType, Role
@@ -68,6 +77,32 @@ def _append_protected(
     for window in windows:
         registry.release_vars(window.release_side)
         registry.acquire_vars(window.acquire_side)
+
+
+def _append_cover_rows(
+    model: Model,
+    registry: CandidateRegistry,
+    windows: List[Window],
+    config: SherlockConfig,
+) -> None:
+    """:func:`_append_protected` in columnar form: each window side
+    becomes one row of column indexes plus its ``__max0_k`` auxiliary
+    (:meth:`~repro.lp.Model.add_cover_term`), with candidate variables
+    created in the same first-seen order."""
+    columns = registry.columns
+    if config.hyp_mostly_protected:
+        add = model.add_cover_term
+        for window in windows:
+            cols = columns(window.release_side, Role.RELEASE)
+            if cols:
+                add(cols)
+            cols = columns(window.acquire_side, Role.ACQUIRE)
+            if cols:
+                add(cols)
+    else:
+        for window in windows:
+            columns(window.release_side, Role.RELEASE)
+            columns(window.acquire_side, Role.ACQUIRE)
 
 
 def _append_sections(
@@ -165,20 +200,31 @@ class IncrementalEncoder:
        the checkpoint,
     3. re-appends the sections from the store's running statistics.
 
-    Because appends replay the exact operation sequence of a fresh
-    :func:`build_model` over the full store (same variable/constraint
-    creation order, same auxiliary numbering, same objective
-    arithmetic), the encoded model is float-identical to a rebuild and
-    serialized reports stay byte-identical.  Two events force a full
-    rebuild: a store swap (``accumulate_across_runs=False``) and new
-    racy pairs (race removal reaches back into already-encoded windows).
+    The MP prefix is written in columnar form: a per-role
+    ``OpRef -> column`` memo (:meth:`CandidateRegistry.columns`) turns a
+    window side into column indexes, creating candidate variables in
+    first-seen order, and :meth:`~repro.lp.Model.add_cover_term` appends
+    the row ``Σ x + aux >= 1`` to the model's cover block: a
+    :class:`~repro.lp.expr.Constraint` (so ``Model.constraints`` keeps
+    one entry per LP row) plus CSR ``indptr``/``indices`` buffers.
+    :meth:`solve` lowers the model with
+    :meth:`~repro.lp.Model.to_sparse_form`, which concatenates the cover
+    block (every entry and right-hand side -1) and lowers only the
+    section rows one by one.
 
-    Solving goes through a :class:`~repro.lp.StandardFormCache` (the
-    stable prefix of the constraint matrix is lowered once) and, for the
-    simplex backend, a warm start from the previous round's basis.  A
-    warm-started simplex still returns an optimal vertex but not
-    necessarily the same one as a cold start; the default scipy backend
-    is unaffected.
+    Appends replay the exact operation sequence of a fresh
+    :func:`build_model` over the full store: the same column order,
+    auxiliary numbering, row order, objective arithmetic and bounds.  So
+    the lowered LP equals a rebuild's bit for bit, HiGHS returns the same
+    vertex, and serialized reports stay byte-identical.  Two events force
+    a full rebuild: a store swap (``accumulate_across_runs=False``) and
+    new racy pairs (race removal reaches back into already-encoded
+    windows).
+
+    The built-in simplex backends also warm-start from the previous
+    round's basis.  A warm-started simplex still returns an optimal
+    vertex but not necessarily the same one as a cold start; the default
+    scipy backend ignores the basis.
     """
 
     def __init__(self, config: SherlockConfig) -> None:
@@ -189,7 +235,6 @@ class IncrementalEncoder:
         self._store: Optional[ObservationStore] = None
         self._n_windows_seen = 0
         self._racy_pairs: frozenset = frozenset()
-        self._form_cache = StandardFormCache()
         self._warm_basis = None
         #: Observability: whether the last encode() was a full rebuild,
         #: and how many variables/constraints it appended.
@@ -214,7 +259,6 @@ class IncrementalEncoder:
                 self.model,
                 enforce_capability=config.prop_read_acq_write_rel,
             )
-            self._form_cache.reset()
             self._warm_basis = None
             base_vars = base_cons = 0
             windows = store.coverage_windows(config.enable_race_removal)
@@ -231,7 +275,7 @@ class IncrementalEncoder:
                     or w.pair_key not in store.racy_pairs
                 )
             ]
-        _append_protected(self.model, self.registry, windows, config)
+        _append_cover_rows(self.model, self.registry, windows, config)
         self._cp = self.model.checkpoint()
         self._store = store
         self._n_windows_seen = len(store.windows)
@@ -246,16 +290,14 @@ class IncrementalEncoder:
         return self.model, self.registry
 
     def solve(self, backend: Optional[str] = None) -> Solution:
-        """Solve the current model, reusing the cached prefix lowering
-        and (simplex only) last round's basis."""
+        """Solve the current model from its sparse lowering (the cover
+        block concatenated, not re-lowered) and, for the built-in
+        backends, last round's basis."""
         backend = backend if backend is not None else self.config.backend
-        form: StandardForm = self.model.to_standard_form_cached(
-            self._form_cache, self._cp.n_constraints
-        )
         solution = lp_solve(
             self.model,
             backend,
-            form=form,
+            form=self.model.to_sparse_form(),
             warm_basis=self._warm_basis,
             presolve=self.config.presolve,
         )

@@ -66,6 +66,8 @@ class InferenceResult:
     #: full model size on a rebuild).
     lp_delta_variables: int = 0
     lp_delta_constraints: int = 0
+    #: Whether the encoder appended onto last round's model (False on
+    #: the rebuild path and on rounds the encoder had to rebuild).
     incremental: bool = False
 
     @property
@@ -94,8 +96,8 @@ def infer(
 
     With an ``encoder`` (see :class:`~repro.core.encoder.IncrementalEncoder`),
     encoding appends this round's delta onto the encoder's persistent
-    model and the solve reuses the cached constraint-prefix lowering;
-    without one, the model is rebuilt from the whole store (historical
+    model and the solve concatenates its columnar cover block; without
+    one, the model is rebuilt from the whole store (historical
     path, kept via ``SherlockConfig(incremental=False)``).  Both produce
     byte-identical results.
     """
@@ -149,7 +151,7 @@ def infer(
             if encoder is not None
             else len(model.constraints)
         ),
-        incremental=encoder is not None,
+        incremental=encoder is not None and not encoder.last_rebuild,
     )
     for sync, variable in registry.items():
         probability = solution.values.get(variable, 0.0)

@@ -12,7 +12,7 @@ used by the SherLock artifact.
 
 from .backends import available_backends, solve
 from .expr import EQ, GE, LE, Constraint, LinExpr, as_expr
-from .model import Model, ModelCheckpoint, StandardForm, StandardFormCache
+from .model import Model, ModelCheckpoint, StandardForm
 from .revised import solve_revised
 from .simplex import solve_simplex
 from .scipy_backend import solve_scipy
@@ -30,7 +30,6 @@ __all__ = [
     "Solution",
     "SolveStatus",
     "StandardForm",
-    "StandardFormCache",
     "Variable",
     "as_expr",
     "available_backends",

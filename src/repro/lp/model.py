@@ -14,8 +14,9 @@ coefficient is positive, which is always the case here.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ class StandardForm:
     ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq`` and per-variable bounds.
 
     ``a_ub``/``a_eq`` are dense from :meth:`Model.to_standard_form` and
-    ``scipy.sparse.csr_matrix`` from :meth:`Model.to_standard_form_cached`;
+    ``scipy.sparse.csr_matrix`` from :meth:`Model.to_sparse_form`;
     backends accept either."""
 
     c: np.ndarray
@@ -59,33 +60,6 @@ class ModelCheckpoint:
     objective_constant: float
 
 
-class StandardFormCache:
-    """Sparse lowering of a model's stable constraint prefix.
-
-    The incremental encoder only ever *appends* constraints past a
-    checkpoint and truncates back to it, so the prefix rows of ``a_ub`` /
-    ``a_eq`` are reusable verbatim across solves; only the suffix is
-    re-lowered.  Rows are kept as sorted (column-index, value) arrays —
-    column indices are global variable indexes, so cached rows stay valid
-    as the model grows (prefix constraints only reference prefix
-    variables, which the encoder's checkpoint discipline guarantees).
-    """
-
-    def __init__(self) -> None:
-        self.prefix_len = 0
-        self.ub_cols: List[int] = []
-        self.ub_vals: List[float] = []
-        self.ub_lens: List[int] = []
-        self.ub_rhs: List[float] = []
-        self.eq_cols: List[int] = []
-        self.eq_vals: List[float] = []
-        self.eq_lens: List[int] = []
-        self.eq_rhs: List[float] = []
-
-    def reset(self) -> None:
-        self.__init__()
-
-
 class Model:
     """A minimization LP model."""
 
@@ -96,6 +70,11 @@ class Model:
         self.objective = LinExpr()
         self._names: Dict[str, Variable] = {}
         self._aux_counter = 0
+        # The cover block (see :meth:`add_cover_term`): the leading
+        # ``len(self._cover_indptr) - 1`` constraints, kept as CSR rows of
+        # sorted column indexes as well.
+        self._cover_indptr = array("q", [0])
+        self._cover_indices = array("i")
 
     # -- building -------------------------------------------------------------
 
@@ -172,6 +151,32 @@ class Model:
         self.add_objective_term(aux, weight)
         return aux
 
+    def add_cover_term(self, columns: Sequence[int]) -> Variable:
+        """Add ``max(0, 1 - sum of the columns' variables)``.
+
+        The same auxiliary, constraint and objective entry as
+        ``add_max0_term(1 - LinExpr.total(vars))`` for the (distinct)
+        variables at ``columns``, built without expression arithmetic.
+        The row also goes straight into the cover block's CSR buffers,
+        which :meth:`to_sparse_form` concatenates instead of lowering the
+        rows one by one.  Cover rows must form a prefix of
+        :attr:`constraints`.
+        """
+        if len(self._cover_indptr) - 1 != len(self.constraints):
+            raise ValueError("cover rows must precede every other constraint")
+        aux = self._fresh_aux("max0")
+        variables = self.variables
+        terms = dict.fromkeys([aux, *map(variables.__getitem__, columns)], 1.0)
+        self.constraints.append(
+            Constraint(LinExpr(terms, -1.0), GE, f"{aux.name}_ge")
+        )
+        # ``aux`` is the newest column, so it sorts last.
+        self._cover_indices.fromlist(sorted(columns))
+        self._cover_indices.append(aux.index)
+        self._cover_indptr.append(len(self._cover_indices))
+        self.objective.terms[aux] = 1.0
+        return aux
+
     def add_abs_term(self, expr: ExprLike, weight: float = 1.0) -> Variable:
         """Add ``weight * |expr|`` to the objective; returns the aux var."""
         aux = self._fresh_aux("abs")
@@ -201,6 +206,9 @@ class Model:
             del self._names[var.name]
         del self.variables[cp.n_variables:]
         del self.constraints[cp.n_constraints:]
+        if len(self._cover_indptr) - 1 > cp.n_constraints:
+            del self._cover_indices[self._cover_indptr[cp.n_constraints]:]
+            del self._cover_indptr[cp.n_constraints + 1:]
         self._aux_counter = cp.aux_counter
         self.objective = LinExpr(cp.objective_terms, cp.objective_constant)
 
@@ -246,54 +254,46 @@ class Model:
         )
 
     @staticmethod
-    def _lower_sparse(constraints, sink: StandardFormCache) -> None:
-        """Lower constraints into ``sink``'s flat CSR component lists.
-
-        Rows carry sorted global column indexes, matching the canonical
-        CSR a dense :meth:`to_standard_form` matrix converts to — so the
-        cached assembly is value-identical to the dense path."""
+    def _lower_rows(constraints, sense_sign: Dict[str, float]):
+        """Lower the constraints whose sense is in ``sense_sign`` into CSR
+        components ``(indptr, indices, data, rhs)``, each row negated when
+        its sign is -1.  Rows carry sorted column indexes, matching the
+        canonical CSR a dense :meth:`to_standard_form` matrix converts to."""
+        cols: List[int] = []
+        vals: List[float] = []
+        indptr: List[int] = [0]
+        rhs: List[float] = []
         for con in constraints:
+            sign = sense_sign.get(con.sense)
+            if sign is None:
+                continue
             items = sorted(
                 (var.index, coef)
                 for var, coef in con.expr.terms.items()
                 if coef != 0.0
             )
-            if con.sense == LE:
-                sink.ub_cols.extend(i for i, _ in items)
-                sink.ub_vals.extend(v for _, v in items)
-                sink.ub_lens.append(len(items))
-                sink.ub_rhs.append(con.rhs)
-            elif con.sense == GE:
-                sink.ub_cols.extend(i for i, _ in items)
-                sink.ub_vals.extend(-v for _, v in items)
-                sink.ub_lens.append(len(items))
-                sink.ub_rhs.append(-con.rhs)
-            elif con.sense == EQ:
-                sink.eq_cols.extend(i for i, _ in items)
-                sink.eq_vals.extend(v for _, v in items)
-                sink.eq_lens.append(len(items))
-                sink.eq_rhs.append(con.rhs)
+            cols.extend(i for i, _ in items)
+            vals.extend(sign * v for _, v in items)
+            indptr.append(len(cols))
+            rhs.append(sign * con.rhs)
+        return (
+            np.array(indptr, dtype=np.int64),
+            np.array(cols, dtype=np.int32),
+            np.array(vals, dtype=np.float64),
+            np.array(rhs, dtype=np.float64),
+        )
 
-    def to_standard_form_cached(
-        self, cache: StandardFormCache, prefix_len: int
-    ) -> StandardForm:
-        """:meth:`to_standard_form`, reusing ``cache`` for the lowering of
-        ``constraints[:prefix_len]`` (which may only have grown since the
-        cache was last used).  ``a_ub``/``a_eq`` come back as
-        ``scipy.sparse.csr_matrix`` with exactly the values the dense
-        lowering would produce (sense grouping preserves constraint order,
-        so prefix rows stay a prefix of each matrix).  The revised simplex
+    def to_sparse_form(self) -> StandardForm:
+        """:meth:`to_standard_form` with ``scipy.sparse.csr_matrix``
+        constraint matrices and no dense intermediate, value-identical to
+        the dense lowering (sense grouping preserves constraint order).
+
+        The cover block is assembled from its CSR buffers by
+        concatenation (every entry -1, every right-hand side -1); only
+        the rows after it are lowered one by one.  The revised simplex
         and scipy backends consume the sparse matrices directly; only the
         dense-tableau reference backend densifies."""
         from scipy.sparse import csr_matrix
-
-        if cache.prefix_len > prefix_len:
-            cache.reset()
-        if cache.prefix_len < prefix_len:
-            self._lower_sparse(
-                self.constraints[cache.prefix_len : prefix_len], cache
-            )
-            cache.prefix_len = prefix_len
 
         n = len(self.variables)
         c = np.zeros(n)
@@ -305,39 +305,35 @@ class Model:
                 np.fromiter(terms.values(), np.float64, len(terms))
             )
 
-        suffix = StandardFormCache()
-        self._lower_sparse(self.constraints[prefix_len:], suffix)
-
-        def assemble(cols, vals, lens):
-            indptr = np.zeros(len(lens) + 1, dtype=np.int64)
-            if lens:
-                np.cumsum(lens, out=indptr[1:])
-            return csr_matrix(
-                (
-                    np.array(vals, dtype=np.float64),
-                    np.array(cols, dtype=np.int32),
-                    indptr,
-                ),
-                shape=(len(lens), n),
-            )
-
-        a_ub = assemble(
-            cache.ub_cols + suffix.ub_cols,
-            cache.ub_vals + suffix.ub_vals,
-            cache.ub_lens + suffix.ub_lens,
+        n_cover = len(self._cover_indptr) - 1
+        cover_nnz = len(self._cover_indices)
+        rest = self.constraints[n_cover:]
+        ub_indptr, ub_cols, ub_vals, ub_rhs = self._lower_rows(
+            rest, {LE: 1.0, GE: -1.0}
         )
-        a_eq = assemble(
-            cache.eq_cols + suffix.eq_cols,
-            cache.eq_vals + suffix.eq_vals,
-            cache.eq_lens + suffix.eq_lens,
+        ub_indptr = np.concatenate(
+            (np.array(self._cover_indptr, dtype=np.int64),
+             ub_indptr[1:] + cover_nnz)
+        )
+        ub_cols = np.concatenate(
+            (np.array(self._cover_indices, dtype=np.int32), ub_cols)
+        )
+        ub_vals = np.concatenate((np.full(cover_nnz, -1.0), ub_vals))
+        ub_rhs = np.concatenate((np.full(n_cover, -1.0), ub_rhs))
+        eq_indptr, eq_cols, eq_vals, eq_rhs = self._lower_rows(
+            rest, {EQ: 1.0}
         )
         bounds = [(v.lower, v.upper) for v in self.variables]
         return StandardForm(
             c=c,
-            a_ub=a_ub,
-            b_ub=np.array(cache.ub_rhs + suffix.ub_rhs),
-            a_eq=a_eq,
-            b_eq=np.array(cache.eq_rhs + suffix.eq_rhs),
+            a_ub=csr_matrix(
+                (ub_vals, ub_cols, ub_indptr), shape=(len(ub_rhs), n)
+            ),
+            b_ub=ub_rhs,
+            a_eq=csr_matrix(
+                (eq_vals, eq_cols, eq_indptr), shape=(len(eq_rhs), n)
+            ),
+            b_eq=eq_rhs,
             bounds=bounds,
             variables=list(self.variables),
             objective_offset=self.objective.constant,

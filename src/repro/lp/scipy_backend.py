@@ -21,7 +21,7 @@ def solve_scipy(
     """Solve a :class:`Model` using :func:`scipy.optimize.linprog` (HiGHS).
 
     ``form`` lets callers pass an already-lowered standard form (the
-    incremental encoder reuses its cached prefix lowering this way).
+    incremental encoder passes its sparse lowering this way).
     """
     try:
         from scipy.optimize import linprog
@@ -38,7 +38,7 @@ def solve_scipy(
         )
 
     def to_csr(a):
-        # The cached lowering hands us csr directly; the dense path
+        # The sparse lowering hands us csr directly; the dense path
         # converts here.  Either way, absent when there are no rows.
         if issparse(a):
             return a if a.shape[0] else None

@@ -218,7 +218,7 @@ def _prepare(form: StandardForm):
     """
     n = len(form.variables)
     shift = np.zeros(n)
-    # The cached lowering may hand us sparse matrices; the tableau is
+    # The sparse lowering may hand us csr matrices; the tableau is
     # dense, so densify up front.
     a_ub = _densify(form.a_ub, n)
     b_ub = form.b_ub.copy() if form.b_ub.size else np.zeros(0)

@@ -80,8 +80,9 @@ class Variable:
             return self is other
         return self._as_expr() == other
 
-    def __hash__(self) -> int:
-        return id(self)
+    # Identity hash in C: variables key every expression, constraint and
+    # objective dict, so a Python-level ``__hash__`` showed up in profiles.
+    __hash__ = object.__hash__
 
     def is_binary_like(self) -> bool:
         """True when the variable is bounded to the unit interval."""

@@ -66,6 +66,15 @@ class OpRef:
     name: str
     optype: OpType
 
+    def __getstate__(self) -> dict:
+        # String hashes are salted per interpreter (``PYTHONHASHSEED``):
+        # the cached hash (see ``_cached_hash``) must not outlive a pickle
+        # round trip, or lookups in the unpickled dicts and sets would
+        # silently miss.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def class_name(self) -> str:
         """The ``Class`` part of ``Class::member`` (used by Mostly-Paired)."""
@@ -91,6 +100,23 @@ class OpRef:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.display()
+
+
+_fields_hash = OpRef.__hash__
+
+
+def _cached_hash(self: OpRef) -> int:
+    """The generated dataclass hash of ``(name, optype)``, computed once
+    per object.  It goes through the Python-level ``Enum.__hash__``, and
+    every dict or set operation on an ``OpRef`` needs it.  The value is
+    the generated one, so dict and set iteration orders do not change."""
+    cached = self.__dict__.get("_hash")
+    if cached is None:
+        cached = self.__dict__["_hash"] = _fields_hash(self)
+    return cached
+
+
+OpRef.__hash__ = _cached_hash
 
 
 @dataclass(frozen=True, order=True)

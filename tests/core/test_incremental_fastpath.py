@@ -9,13 +9,15 @@ Two independent equivalence contracts:
   order, same sides) as the historical all-pairs scan on arbitrary logs.
 """
 
+import functools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
-from repro.apps.registry import all_applications
+from repro.apps.registry import all_applications, app_ids, family_app_ids
 from repro.core import SherlockConfig
 from repro.core.encoder import IncrementalEncoder, build_model
 from repro.core.pipeline import Sherlock
@@ -62,34 +64,131 @@ def test_incremental_appends_instead_of_rebuilding():
     assert last.lp_delta_constraints < last.lp_constraints
 
 
-def test_incremental_encoder_model_equals_build_model():
-    """Direct model-level check: encoding a growing store incrementally
-    yields the same variables, constraints and objective as build_model
-    on the final store."""
-    config = SherlockConfig(rounds=2, incremental=True)
+SMALL_APP_IDS = app_ids() + family_app_ids()
+
+
+def _round_logs(app_id, rounds):
+    """Per-round trace logs of a default ``rounds``-round run."""
     logs = []
     Sherlock(
-        _app(APP_IDS[0]),
-        config,
-        round_listener=lambda i, execs: logs.append(
-            [e.log for e in execs]
-        ),
+        _app(app_id),
+        SherlockConfig(rounds=rounds),
+        round_listener=lambda i, execs: logs.append([e.log for e in execs]),
     ).run()
-    extractor = WindowExtractor(near=config.near, window_cap=config.window_cap)
+    return logs
+
+
+#: The small apps' logs are replayed under every ablation.
+_small_app_logs = functools.lru_cache(maxsize=None)(_round_logs)
+
+
+def _lowered(form):
+    """Every value of a standard form the backends read, as plain lists
+    (exact float comparison: the LP must be the same bit for bit)."""
+    a_ub = csr_matrix(form.a_ub)
+    a_eq = csr_matrix(form.a_eq)
+    return {
+        "c": form.c.tolist(),
+        "a_ub.shape": a_ub.shape,
+        "a_ub.indptr": a_ub.indptr.tolist(),
+        "a_ub.indices": a_ub.indices.tolist(),
+        "a_ub.data": a_ub.data.tolist(),
+        "b_ub": form.b_ub.tolist(),
+        "a_eq.shape": a_eq.shape,
+        "a_eq.nnz": a_eq.nnz,
+        "b_eq": form.b_eq.tolist(),
+        "bounds": form.bounds,
+        "names": [v.name for v in form.variables],
+        "offset": form.objective_offset,
+    }
+
+
+def _replay_and_compare(app_id, logs, config, dense=True):
+    """Ingest a run's ``logs`` round by round; after each round the
+    incremental encoder's lowered LP must equal a fresh
+    ``build_model(store)`` lowering.  Returns each round's
+    ``last_rebuild``."""
+    extractor = WindowExtractor(
+        near=config.near,
+        window_cap=config.window_cap,
+        refine=config.enable_window_refinement,
+    )
     store = ObservationStore()
     encoder = IncrementalEncoder(config)
-    for round_logs in logs:
+    rebuilds = []
+    for round_index, round_logs in enumerate(logs):
         for log in round_logs:
             store.ingest_run(log, extractor.extract(log))
         model, _ = encoder.encode(store)
-    reference, _ = build_model(store, config)
-    assert [v.name for v in model.variables] == [
-        v.name for v in reference.variables
-    ]
-    assert len(model.constraints) == len(reference.constraints)
-    assert {v.name: c for v, c in model.objective.terms.items()} == {
-        v.name: c for v, c in reference.objective.terms.items()
+        reference, _ = build_model(store, config)
+        expected = (
+            reference.to_standard_form() if dense
+            else reference.to_sparse_form()
+        )
+        got = _lowered(model.to_sparse_form())
+        want = _lowered(expected)
+        for key in want:
+            assert got[key] == want[key], (app_id, round_index, key)
+        assert len(model.constraints) == len(reference.constraints)
+        rebuilds.append(encoder.last_rebuild)
+    return rebuilds
+
+
+def test_incremental_encoder_model_equals_build_model():
+    """Round by round, on all 10 apps, the incremental encoder's lowered
+    LP (cover block concatenated) equals ``build_model(store)
+    .to_standard_form()``: ``c``, ``a_ub`` CSR, ``b_ub``, bounds and
+    variable names.  The replays include rounds where new racy pairs
+    force a rebuild, and rounds that only append."""
+    config = SherlockConfig(rounds=3)
+    rebuilds = {
+        app_id: _replay_and_compare(app_id, _small_app_logs(app_id, 3), config)
+        for app_id in SMALL_APP_IDS
     }
+    assert all(r[0] for r in rebuilds.values())
+    assert any(not r for rs in rebuilds.values() for r in rs[1:])
+    # App-6 adds a racy pair in round 1, App-5 in round 2.
+    assert rebuilds["App-6"][1] and rebuilds["App-5"][2]
+
+
+@pytest.mark.parametrize(
+    "ablation",
+    [
+        {"hyp_mostly_protected": False},
+        {"prop_read_acq_write_rel": False},
+        {"enable_race_removal": False},
+    ],
+    ids=["no-mostly-protected", "no-read-acq-write-rel", "no-race-removal"],
+)
+def test_incremental_encoder_ablations_equal_build_model(ablation):
+    config = SherlockConfig(rounds=3, **ablation)
+    for app_id in SMALL_APP_IDS:
+        _replay_and_compare(app_id, _small_app_logs(app_id, 3), config)
+
+
+def test_incremental_encoder_equals_build_model_at_scale():
+    """App-XL1, one round: the scale tier's cover block lowers exactly
+    like ``build_model``'s rows (compared sparse: a dense lowering costs
+    rows x columns x 8 bytes at this size)."""
+    logs = _round_logs("App-XL1", 1)
+    _replay_and_compare("App-XL1", logs, SherlockConfig(rounds=1), dense=False)
+
+
+def test_rebuild_round_reports_not_incremental():
+    """A round whose new racy pairs force a rebuild reports
+    ``incremental=False`` and a delta equal to the whole LP; an
+    appending round reports ``incremental=True``."""
+    report = Sherlock(_app("App-6"), SherlockConfig(rounds=3)).run()
+    rebuilt, appended = report.rounds[1], report.rounds[2]
+    assert rebuilt.racy_pairs_total > report.rounds[0].racy_pairs_total
+    assert rebuilt.inference.incremental is False
+    assert rebuilt.metrics.lp_delta_variables == rebuilt.metrics.lp_variables
+    assert (
+        rebuilt.metrics.lp_delta_constraints
+        == rebuilt.metrics.lp_constraints
+    )
+    assert appended.inference.incremental is True
+    assert appended.metrics.lp_delta_variables < appended.metrics.lp_variables
 
 
 FIELDS = ["C::a", "C::b", "D::x"]

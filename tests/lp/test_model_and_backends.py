@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.lp import Model, SolveStatus, solve, solve_scipy, solve_simplex
+from repro.lp import (
+    LinExpr,
+    Model,
+    SolveStatus,
+    solve,
+    solve_scipy,
+    solve_simplex,
+)
 from repro.lp.backends import available_backends
 
 
@@ -183,6 +190,115 @@ def test_standard_form_shapes():
     # >= row was flipped into <=.
     assert np.allclose(form.a_ub[1], [-1.0, 1.0])
     assert form.b_ub[1] == pytest.approx(1.0)
+
+
+def _sparse_parts(form):
+    a_ub = form.a_ub.tocsr()
+    a_eq = form.a_eq.tocsr()
+    return (
+        form.c.tolist(),
+        a_ub.shape,
+        a_ub.indptr.tolist(),
+        a_ub.indices.tolist(),
+        a_ub.data.tolist(),
+        form.b_ub.tolist(),
+        a_eq.shape,
+        a_eq.indptr.tolist(),
+        a_eq.indices.tolist(),
+        a_eq.data.tolist(),
+        form.b_eq.tolist(),
+        form.bounds,
+        [v.name for v in form.variables],
+    )
+
+
+def _dense_as_sparse(form):
+    from scipy.sparse import csr_matrix
+
+    form.a_ub = csr_matrix(form.a_ub)
+    form.a_eq = csr_matrix(form.a_eq)
+    return _sparse_parts(form)
+
+
+def _cover_models():
+    """The same LP twice: cover rows through ``add_cover_term`` and
+    through ``add_max0_term(1 - LinExpr.total(...))``, then mixed rows."""
+    built = []
+    for columnar in (True, False):
+        m = Model()
+        xs = [m.add_variable(f"x{i}", 0, 1) for i in range(4)]
+        for cols in ([2, 0], [3], [1, 3, 0]):
+            if columnar:
+                m.add_cover_term(cols)
+            else:
+                m.add_max0_term(1 - LinExpr.total(xs[c] for c in cols))
+            if cols == [3]:
+                xs.append(m.add_variable("late", 0, 1))
+        m.add_constraint(xs[0] + xs[4] <= 1, name="le")
+        m.add_abs_term(xs[1] - xs[2], weight=0.2)
+        m.add_constraint((xs[0] + 2 * xs[3]) == 1, name="eq")
+        m.add_objective_term(xs[0] + 0.5 * xs[4])
+        built.append(m)
+    return built
+
+
+def test_cover_term_matches_max0_term():
+    """``add_cover_term`` builds the auxiliary, constraint and objective
+    entry ``add_max0_term(1 - total)`` does, and the sparse lowering
+    (cover block concatenated) equals both the object path's sparse
+    lowering and the dense one."""
+    columnar, objects = _cover_models()
+    assert [v.name for v in columnar.variables] == [
+        v.name for v in objects.variables
+    ]
+    for a, b in zip(columnar.constraints, objects.constraints):
+        assert (a.name, a.sense, a.rhs) == (b.name, b.sense, b.rhs)
+        assert [(v.name, c) for v, c in a.expr.terms.items()] == [
+            (v.name, c) for v, c in b.expr.terms.items()
+        ]
+    assert [(v.name, c) for v, c in columnar.objective.terms.items()] == [
+        (v.name, c) for v, c in objects.objective.terms.items()
+    ]
+    lowered = _sparse_parts(columnar.to_sparse_form())
+    assert lowered == _sparse_parts(objects.to_sparse_form())
+    assert lowered == _dense_as_sparse(objects.to_standard_form())
+    # The cover block: the leading rows, every entry and rhs -1.
+    a_ub = columnar.to_sparse_form().a_ub
+    assert a_ub.indptr[:4].tolist() == [0, 3, 5, 9]
+    assert a_ub.indices[:9].tolist() == [0, 2, 4, 3, 5, 0, 1, 3, 7]
+    assert set(a_ub.data[:9]) == {-1.0}
+
+
+def test_cover_rows_must_lead():
+    m = Model()
+    x = m.add_variable("x", 0, 1)
+    m.add_cover_term([0])
+    m.add_constraint(x <= 1)
+    with pytest.raises(ValueError):
+        m.add_cover_term([0])
+
+
+def test_rollback_truncates_cover_block():
+    """Rolling back into the cover block drops its CSR rows too, so
+    re-appended rows lower identically to a fresh model's."""
+    m = Model()
+    for i in range(3):
+        m.add_variable(f"x{i}", 0, 1)
+    m.add_cover_term([1, 0])
+    cp = m.checkpoint()
+    m.add_cover_term([2])
+    m.add_cover_term([0, 2])
+    m.rollback(cp)
+    m.add_cover_term([2, 1])
+
+    fresh = Model()
+    for i in range(3):
+        fresh.add_variable(f"x{i}", 0, 1)
+    fresh.add_cover_term([1, 0])
+    fresh.add_cover_term([2, 1])
+    assert _sparse_parts(m.to_sparse_form()) == _sparse_parts(
+        fresh.to_sparse_form()
+    )
 
 
 def test_auto_backend_matches_named():

@@ -1,6 +1,11 @@
 """Unit tests for the trace event model."""
 
 import io
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +59,52 @@ class TestOpRef:
 
     def test_capable_roles_table_is_total(self):
         assert set(CAPABLE_ROLES) == set(OpType)
+
+    def test_hash_is_the_dataclass_hash(self):
+        """The cached hash equals ``hash((name, optype))``, the value the
+        generated dataclass hash had, so set and dict orders stay put."""
+        ref = read_of("C::f")
+        assert hash(ref) == hash(("C::f", OpType.READ))
+        assert hash(ref) == hash(ref)
+        assert hash(write_of("C::f")) == hash(("C::f", OpType.WRITE))
+
+    def test_cached_hash_is_not_pickled(self):
+        ref = read_of("C::f")
+        hash(ref)
+        clone = pickle.loads(pickle.dumps(ref))
+        assert "_hash" not in clone.__dict__
+        assert clone == ref and hash(clone) == hash(ref)
+
+    def test_pickled_window_lookups_across_hash_seeds(self, tmp_path):
+        """A window pickled under one ``PYTHONHASHSEED`` and loaded under
+        another still answers side lookups by fresh ``OpRef`` keys (a
+        cached hash carried in the pickle would make them miss)."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        blob = tmp_path / "window.pkl"
+        dump = (
+            "import pickle, sys\n"
+            "from repro.core.windows import Window\n"
+            "from repro.trace import OpRef, OpType\n"
+            "side = {OpRef(f'C::f{i}', OpType.WRITE): i for i in range(50)}\n"
+            "acq = {OpRef('C::m', OpType.ENTER): 1}\n"
+            "window = Window(('a', 'b'), 0, 0.0, 1.0, side, acq)\n"
+            "assert all(hash(r) for r in side)\n"
+            "pickle.dump(window, open(sys.argv[1], 'wb'))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from repro.trace import OpRef, OpType\n"
+            "window = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "for i in range(50):\n"
+            "    assert window.release_side[OpRef(f'C::f{i}', OpType.WRITE)] == i\n"
+            "assert window.acquire_side[OpRef('C::m', OpType.ENTER)] == 1\n"
+            "assert OpRef('C::f7', OpType.WRITE) in set(window.release_side)\n"
+        )
+        for code, seed in ((dump, "1"), (load, "2")):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-c", code, str(blob)], env=env, check=True
+            )
 
     def test_sync_op_display(self):
         sync = SyncOp(read_of("C::f"), Role.ACQUIRE)
